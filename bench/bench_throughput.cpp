@@ -312,7 +312,6 @@ int run(const Args& args) {
     det.workers = args.workers;
     if (args.burst > 0) det.burst = args.burst;
     det.deterministic = true;
-    det.lookahead = 0;  // strict head-of-line: the historical baseline mode
     sim::TrafficEngine det_engine(ev.delta, det);
     const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
     auto out = det_engine.run(wl);
@@ -341,15 +340,13 @@ int run(const Args& args) {
   }
   const double det_pps = median(det_pps_runs);
   std::printf("%-28s %12.0f pps  (%llu cross-shard forwards, burst %d,"
-              " %llu/%llu mask-cache hits, %d direct switches,"
-              " %llu allocs)\n",
+              " %llu/%llu mask-cache hits, %llu allocs)\n",
               "engine (deterministic)", det_pps,
               static_cast<unsigned long long>(det_stats.forwards),
               det_stats.burst,
               static_cast<unsigned long long>(det_stats.conflict_hits),
               static_cast<unsigned long long>(det_stats.conflict_hits +
                                               det_stats.conflict_misses),
-              det_stats.direct_switches,
               static_cast<unsigned long long>(det_allocs));
 
   // Deterministic again, but on a single worker: every packet is confined
@@ -376,36 +373,7 @@ int run(const Args& args) {
   std::printf("%-28s %12.0f pps  (confined single-worker)\n",
               "engine (det, 1 worker)", det1_pps);
 
-  // Deterministic with conflict-window lookahead (the engine's default
-  // dispatch mode): a blocked head no longer stalls the window — later
-  // packets with disjoint conflict masks dispatch past it, and stats
-  // retire in sequence order. Same locality shard plan as above.
-  std::vector<double> det_lk_pps_runs;
-  std::vector<Network::Delivery> det_lk_out;
-  Store det_lk_state;
-  std::uint64_t lookahead_dispatches = 0;
-  for (int r = 0; r < repeat; ++r) {
-    sim::EngineOptions dl;
-    dl.workers = args.workers;
-    if (args.burst > 0) dl.burst = args.burst;
-    dl.deterministic = true;
-    sim::TrafficEngine dl_engine(ev.delta, dl);
-    auto out = dl_engine.run(wl);
-    det_lk_pps_runs.push_back(dl_engine.stats().pps);
-    if (r == 0) {
-      det_lk_out = std::move(out);
-      det_lk_state = dl_engine.network().merged_state();
-      lookahead_dispatches = dl_engine.stats().lookahead_dispatches;
-    }
-  }
-  const double det_lk_pps = median(det_lk_pps_runs);
-  std::printf("%-28s %12.0f pps  (%llu lookahead dispatches, %.1f%% of"
-              " head-of-line)\n",
-              "engine (det, lookahead)", det_lk_pps,
-              static_cast<unsigned long long>(lookahead_dispatches),
-              100.0 * det_lk_pps / det_pps);
-
-  // Scheduler dispatch-cost share, from one profiled lookahead run (kept
+  // Scheduler dispatch-cost share, from one profiled deterministic run (kept
   // out of the pps medians — profiling arms the stage clocks). The share
   // is the dispatch-side stages of the scheduler's cycle row over its
   // wall time: residual dispatch + mask resolve + window admission +
@@ -436,15 +404,19 @@ int run(const Args& args) {
               " profiled run)\n",
               "dispatch share", 100.0 * dispatch_share);
 
+  // Free-running: run-to-completion burst descriptors instead of
+  // per-packet tasks — each worker classifies its owned lanes of a SoA
+  // burst vectorized and walks them to completion locally.
   std::vector<double> fr_pps_runs;
   std::size_t fr_deliveries = 0;
   std::uint64_t fr_allocs = 0;
+  std::uint64_t fr_steady = 0;
+  std::uint64_t fr_bursts = 0;
   for (int r = 0; r < repeat; ++r) {
     sim::EngineOptions fr;
     fr.workers = args.workers;
     if (args.burst > 0) fr.burst = args.burst;
     fr.deterministic = false;
-    fr.rtc = false;  // per-packet dispatch: the historical baseline mode
     sim::TrafficEngine fr_engine(ev.delta, fr);
     const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
     auto out = fr_engine.run(wl);
@@ -452,43 +424,20 @@ int run(const Args& args) {
     if (r == 0) {
       fr_allocs = g_allocs.load(std::memory_order_relaxed) - a0;
       fr_deliveries = out.size();
+      fr_steady = fr_engine.stats().steady_allocs;
+      fr_bursts = fr_engine.stats().rtc_bursts;
     }
   }
   const double fr_pps = median(fr_pps_runs);
-  std::printf("%-28s %12.0f pps  (%zu deliveries, %llu allocs)\n",
-              "engine (free-running)", fr_pps, fr_deliveries,
-              static_cast<unsigned long long>(fr_allocs));
-
-  // Free-running run-to-completion: burst descriptors instead of
-  // per-packet tasks — each worker classifies its owned lanes of a SoA
-  // burst vectorized and walks them to completion locally.
-  std::vector<double> fr_rtc_pps_runs;
-  std::size_t fr_rtc_deliveries = 0;
-  std::uint64_t fr_rtc_steady = 0;
-  std::uint64_t fr_rtc_bursts = 0;
-  for (int r = 0; r < repeat; ++r) {
-    sim::EngineOptions fz;
-    fz.workers = args.workers;
-    if (args.burst > 0) fz.burst = args.burst;
-    fz.deterministic = false;
-    sim::TrafficEngine fz_engine(ev.delta, fz);
-    auto out = fz_engine.run(wl);
-    fr_rtc_pps_runs.push_back(fz_engine.stats().pps);
-    if (r == 0) {
-      fr_rtc_deliveries = out.size();
-      fr_rtc_steady = fz_engine.stats().steady_allocs;
-      fr_rtc_bursts = fz_engine.stats().rtc_bursts;
-    }
-  }
-  const double fr_rtc_pps = median(fr_rtc_pps_runs);
   // No equivalence gate here: free-running runs race state updates by
   // design, so delivery counts legitimately vary run to run at W > 1.
   // RTC determinism at W = 1 is covered by test_sim.
   std::printf("%-28s %12.0f pps  (%zu deliveries, %llu bursts, %llu"
-              " steady allocs)\n",
-              "engine (free-running RTC)", fr_rtc_pps, fr_rtc_deliveries,
-              static_cast<unsigned long long>(fr_rtc_bursts),
-              static_cast<unsigned long long>(fr_rtc_steady));
+              " steady allocs, %llu allocs)\n",
+              "engine (free-running)", fr_pps, fr_deliveries,
+              static_cast<unsigned long long>(fr_bursts),
+              static_cast<unsigned long long>(fr_steady),
+              static_cast<unsigned long long>(fr_allocs));
 
   // Traced-overhead report (measured interleaved with the untraced runs
   // above; tools/ci.sh gates the per-pair ratio >= 90%). Byte equivalence
@@ -511,7 +460,6 @@ int run(const Args& args) {
     so.workers = args.workers;
     if (args.burst > 0) so.burst = args.burst;
     so.deterministic = true;
-    so.lookahead = 0;  // paired against the head-of-line det runs
     so.check_soundness = true;
     sim::TrafficEngine so_engine(ev.delta, so);
     auto out = so_engine.run(wl);
@@ -525,9 +473,7 @@ int run(const Args& args) {
 
   bool big_equivalent = serial_out == det_out && serial_out == det1_out &&
                         serial_state == det_state &&
-                        serial_state == det1_state &&
-                        serial_out == det_lk_out &&
-                        serial_state == det_lk_state;
+                        serial_state == det1_state;
   all_equivalent = all_equivalent && big_equivalent;
   std::size_t churn = state_entries(det_state);
   std::printf("\nserial vs deterministic engine: %s; state rows: %zu\n",
@@ -633,11 +579,9 @@ int run(const Args& args) {
         << ",\"serial_profiled\":" << prof_pps
         << ",\"deterministic\":" << det_pps
         << ",\"deterministic_confined_w1\":" << det1_pps
-        << ",\"deterministic_lookahead\":" << det_lk_pps
         << ",\"deterministic_traced\":" << traced_pps
         << ",\"deterministic_soundness\":" << sound_pps
-        << ",\"free_running\":" << fr_pps
-        << ",\"free_running_rtc\":" << fr_rtc_pps << "}"
+        << ",\"free_running\":" << fr_pps << "}"
         // Best of the per-pair (adjacent-run) ratios: the load-robust
         // form of the telemetry overhead, and what tools/ci.sh gates.
         << ",\"overhead\":{\"disarmed_over_serial\":" << disarmed_ratio

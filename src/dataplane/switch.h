@@ -8,33 +8,47 @@
 // packet to that variable's switch) or a resolved leaf (local writes were
 // applied atomically; the forwarding layer completes remaining writes and
 // egress).
+//
+// The program is decoded once per install (netasm/decoded.h) and the
+// decoded form is the only interpreter: Network::inject runs it here, and
+// the sim engine's epoch snapshots share the same immutable object.
 #pragma once
 
+#include <memory>
+
 #include "lang/eval.h"
+#include "netasm/decoded.h"
 #include "netasm/isa.h"
 
 namespace snap {
 
 class SoftwareSwitch {
  public:
-  SoftwareSwitch(int id, netasm::Program program)
-      : id_(id), program_(std::move(program)) {}
+  SoftwareSwitch(int id, const netasm::Program& program) : id_(id) {
+    install(program);
+  }
 
-  struct Outcome {
-    enum Kind { kStuck, kLeaf } kind;
-    XfddId node = 0;          // stuck node (kStuck) or leaf id (kLeaf)
-    StateVarId stuck_var = 0; // kStuck only
-  };
+  using Outcome = netasm::DecodedProgram::Outcome;
 
   // Resumes processing at the entry for `node`.
-  Outcome run(XfddId node, const Packet& pkt);
+  Outcome run(XfddId node, const Packet& pkt) {
+    return decoded_->run(node, pkt, state_, scratch_, &executed_,
+                         /*sound=*/false);
+  }
 
   // Replaces the program in place (a rule-delta update). State tables are
   // left alone — the caller decides what survives re-placement.
-  void install(netasm::Program program) { program_ = std::move(program); }
+  void install(const netasm::Program& program) {
+    decoded_ = std::make_shared<const netasm::DecodedProgram>(
+        netasm::DecodedProgram::decode(program));
+  }
 
   int id() const { return id_; }
-  const netasm::Program& program() const { return program_; }
+  // The decoded program, shared: a live engine epoch keeps running the one
+  // it snapshotted after install() swaps in the next.
+  const std::shared_ptr<const netasm::DecodedProgram>& decoded() const {
+    return decoded_;
+  }
   Store& state() { return state_; }
   const Store& state() const { return state_; }
 
@@ -47,13 +61,14 @@ class SoftwareSwitch {
   // not skewed by work done under the previous program.
   void reset_stats() { executed_ = 0; }
 
-  // Folds externally-counted instructions (the sim engine's decoded
-  // fast-path bypasses run()) into the counter.
+  // Folds externally-counted instructions (the sim engine and the burst
+  // pipeline count per thread, not through run()) into the counter.
   void add_executed(std::uint64_t n) { executed_ += n; }
 
  private:
   int id_;
-  netasm::Program program_;
+  std::shared_ptr<const netasm::DecodedProgram> decoded_;
+  netasm::DecodedProgram::Scratch scratch_;
   Store state_;
   std::uint64_t executed_ = 0;
 };

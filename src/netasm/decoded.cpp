@@ -16,7 +16,7 @@ namespace {
 // need state — instead dedupe structurally against what's already there.
 // Programs have few distinct operands, so the scan is cheap and runs once
 // per deployment, never per packet. Shared by the program decoder and the
-// direct-xFDD builder.
+// flat-diagram builder.
 std::int32_t intern_expr(std::vector<DecodedExpr>& exprs, const Expr& e) {
   DecodedExpr d;
   d.prefill.assign(e.size(), 0);
@@ -242,12 +242,10 @@ template DecodedProgram::Outcome DecodedProgram::run_impl<true>(
 template DecodedProgram::Outcome DecodedProgram::run_impl<false>(
     XfddId, const Packet&, Store&, Scratch&, std::uint64_t*) const;
 
-bool DirectXfdd::flatten(const XfddStore& store, XfddId root,
-                         const Placement* pl, int sw, DirectXfdd& out) {
+DirectXfdd DirectXfdd::build_network(const XfddStore& store, XfddId root) {
+  DirectXfdd out;
   // First pass over the reachable diagram: assign dense indices in
-  // first-visit DFS order. With a placement filter, bail out on any
-  // foreign state test (the per-switch eligibility rule); without one
-  // (network mode) every reachable node is retained.
+  // first-visit DFS order.
   std::map<XfddId, std::int32_t> index;
   std::vector<XfddId> order;
   std::vector<XfddId> stack{root};
@@ -259,20 +257,14 @@ bool DirectXfdd::flatten(const XfddStore& store, XfddId root,
     order.push_back(id);
     if (store.is_leaf(id)) continue;
     const BranchNode& b = store.branch_node(id);
-    if (const auto* st = std::get_if<TestState>(&b.test)) {
-      if (pl && pl->at(st->var) != sw) {
-        return false;  // ineligible: could get stuck
-      }
-    }
     stack.push_back(b.lo);
     stack.push_back(b.hi);
   }
   // Second pass: flatten. hi/lo become dense indices; leaf write programs
   // flatten into the shared op pool in exactly the order the assembler
   // emits them (state_programs() order), so instruction counts and
-  // store-mutation order match the program path bit-for-bit.
+  // store-mutation order match the per-switch programs.
   out.nodes_.reserve(order.size());
-  out.entries_.reserve(order.size());
   for (XfddId id : order) {
     DNode n{};
     if (store.is_leaf(id)) {
@@ -281,7 +273,6 @@ bool DirectXfdd::flatten(const XfddStore& store, XfddId root,
       n.ops_begin = static_cast<std::uint32_t>(out.ops_.size());
       for (const auto& [var, prog] :
            store.leaf_actions(id).state_programs()) {
-        if (pl && pl->at(var) != sw) continue;
         for (const Action& op : prog) {
           DOp d{};
           std::visit(
@@ -342,23 +333,8 @@ bool DirectXfdd::flatten(const XfddStore& store, XfddId root,
     }
     out.nodes_.push_back(n);
   }
-  for (const auto& [id, dense] : index) out.entries_.emplace_back(id, dense);
   out.dense_orig_ = std::move(order);  // dense index -> store id
   out.root_dense_ = index.at(root);
-  out.eligible_ = true;
-  return true;
-}
-
-DirectXfdd DirectXfdd::build(const XfddStore& store, XfddId root,
-                             const Placement& pl, int sw) {
-  DirectXfdd out;
-  if (!flatten(store, root, &pl, sw, out)) return DirectXfdd{};
-  return out;
-}
-
-DirectXfdd DirectXfdd::build_network(const XfddStore& store, XfddId root) {
-  DirectXfdd out;
-  flatten(store, root, /*pl=*/nullptr, /*sw=*/0, out);
   out.build_field_steps();
   return out;
 }
@@ -415,106 +391,6 @@ void DirectXfdd::build_field_steps() {
     s.lo_step = is_field(n.lo) ? step_of[n.lo] : -(n.lo + 1);
   }
 }
-
-template <bool Sound>
-DecodedProgram::Outcome DirectXfdd::run_impl(
-    XfddId node, const Packet& pkt, Store& state,
-    DecodedProgram::Scratch& scratch, std::uint64_t* executed) const {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), node,
-      [](const std::pair<XfddId, std::int32_t>& e, XfddId n) {
-        return e.first < n;
-      });
-  SNAP_CHECK(it != entries_.end() && it->first == node,
-             "no program entry for xFDD node");
-  std::int32_t cur = it->second;
-  std::uint64_t count = 0;
-  const DNode* nodes = nodes_.data();
-  for (;;) {
-    const DNode& n = nodes[static_cast<std::size_t>(cur)];
-    switch (n.kind) {
-      case DNode::Kind::kFVExact: {
-        ++count;
-        auto v = pkt.get(n.f1);
-        cur = (v && *v == n.value) ? n.hi : n.lo;
-        break;
-      }
-      case DNode::Kind::kFVMask: {
-        ++count;
-        auto v = pkt.get(n.f1);
-        cur = (v && (static_cast<std::uint32_t>(*v) & n.mask) ==
-                        static_cast<std::uint32_t>(n.value))
-                  ? n.hi
-                  : n.lo;
-        break;
-      }
-      case DNode::Kind::kFVAny: {
-        ++count;
-        cur = pkt.has(n.f1) ? n.hi : n.lo;
-        break;
-      }
-      case DNode::Kind::kFF: {
-        ++count;
-        auto v1 = pkt.get(n.f1);
-        auto v2 = pkt.get(n.f2);
-        cur = (v1 && v2 && *v1 == *v2) ? n.hi : n.lo;
-        break;
-      }
-      case DNode::Kind::kState: {
-        ++count;
-        if constexpr (Sound) sim::note_state_access(n.var);
-        bool pass =
-            exprs_[static_cast<std::size_t>(n.index)].eval_into(
-                pkt, scratch.index) &&
-            exprs_[static_cast<std::size_t>(n.vexpr)].eval_into(
-                pkt, scratch.value) &&
-            scratch.value.size() == 1 &&
-            state.get(n.var, scratch.index) == scratch.value[0];
-        cur = pass ? n.hi : n.lo;
-        break;
-      }
-      case DNode::Kind::kLeaf: {
-        for (std::uint32_t o = n.ops_begin; o < n.ops_end; ++o) {
-          const DOp& op = ops_[o];
-          ++count;
-          if constexpr (Sound) sim::note_state_access(op.var);
-          if (op.kind == DOp::Kind::kSet) {
-            if (!exprs_[static_cast<std::size_t>(op.index)].eval_into(
-                    pkt, scratch.index) ||
-                !exprs_[static_cast<std::size_t>(op.vexpr)].eval_into(
-                    pkt, scratch.value) ||
-                scratch.value.size() != 1) {
-              throw CompileError("state update on " +
-                                 state_var_name(op.var) +
-                                 " references an absent field");
-            }
-            state.set(op.var, scratch.index, scratch.value[0]);
-          } else {
-            if (!exprs_[static_cast<std::size_t>(op.index)].eval_into(
-                    pkt, scratch.index)) {
-              throw CompileError("state increment on " +
-                                 state_var_name(op.var) +
-                                 " references an absent field");
-            }
-            Value v = state.get(op.var, scratch.index);
-            state.set(op.var, scratch.index,
-                      op.kind == DOp::Kind::kInc ? v + 1 : v - 1);
-          }
-        }
-        ++count;  // the implicit ILeafDone
-        if (executed) *executed += count;
-        return {DecodedProgram::Outcome::kLeaf, n.leaf, 0};
-      }
-    }
-  }
-}
-
-template DecodedProgram::Outcome DirectXfdd::run_impl<true>(
-    XfddId, const Packet&, Store&, DecodedProgram::Scratch&,
-    std::uint64_t*) const;
-template DecodedProgram::Outcome DirectXfdd::run_impl<false>(
-    XfddId, const Packet&, Store&, DecodedProgram::Scratch&,
-    std::uint64_t*) const;
 
 }  // namespace netasm
 }  // namespace snap

@@ -1,15 +1,20 @@
-// Flat, pre-decoded form of a netasm::Program — the sim engine's fast path.
+// Flat, pre-decoded form of a netasm::Program — the one per-switch
+// interpreter.
 //
 // The variant-based Program is the compiler's currency: easy to diff, easy
-// to disassemble. Interpreting it per packet pays a std::visit dispatch, a
-// map lookup per entry point, and an Expr::eval allocation walk per state
-// operand. Decoding resolves all of that once per deployment:
+// to disassemble, and what RuleDelta, lint and `snapc --rules` consume.
+// Interpreting it per packet would pay a std::visit dispatch, a map lookup
+// per entry point, and an Expr::eval allocation walk per state operand.
+// SoftwareSwitch decodes its program once per install instead, and every
+// execution path that runs a switch's program (Network::inject and the sim
+// engine's workers) runs this form:
 //
 //   - instructions become a dense struct tagged by a small enum, so the
 //     inner loop is a tight switch over instruction tags;
 //   - atomic-region markers are folded out (they are annotations for
-//     hardware targets; the single-threaded-per-shard engine is trivially
-//     atomic) and every branch PC is remapped to the compacted code;
+//     hardware targets; single-threaded execution per switch is trivially
+//     atomic) and every branch PC is remapped to the compacted code, so
+//     instruction counts exclude them;
 //   - the per-node entry map becomes a sorted flat vector (binary search);
 //   - field-value tests pre-compute their prefix mask and pre-masked
 //     compare value;
@@ -18,14 +23,14 @@
 //     only the field atoms are fetched, into a caller-provided scratch
 //     buffer, so the hot loop does no allocation for repeated operands.
 //
-// Semantics are bit-for-bit those of SoftwareSwitch::run (the sim tests
-// gate the two interpreters against each other across the policy corpus).
+// Semantics follow lang/eval: the dataplane tests check traces against the
+// eval oracle, and tests/test_dataplane.cpp pins the instruction
+// accounting by hand count.
 #pragma once
 
 #include <cstdint>
 
 #include "lang/eval.h"
-#include "milp/result.h"
 #include "netasm/isa.h"
 
 namespace snap {
@@ -89,8 +94,7 @@ class DecodedProgram {
     XfddId node = 0;                      // escape node / leaf id
   };
 
-  // Mirrors SoftwareSwitch::Outcome so engine code can treat the two
-  // interpreters interchangeably.
+  // Stuck on a foreign state variable (escape) or a resolved leaf.
   struct Outcome {
     enum Kind { kStuck, kLeaf } kind;
     XfddId node = 0;
@@ -107,20 +111,17 @@ class DecodedProgram {
   static DecodedProgram decode(const Program& p);
 
   // Resumes at the entry for `node`, reading/writing `state`, bumping
-  // *executed once per retained instruction. Throws the same CompileError
-  // as the reference interpreter when a state update references an absent
-  // field.
-  Outcome run(XfddId node, const Packet& pkt, Store& state,
-              Scratch& scratch, std::uint64_t* executed) const {
-    return run_impl<true>(node, pkt, state, scratch, executed);
-  }
-
-  // Soundness-dispatched run: `sound` selects between two instantiations
-  // of the same loop, one with the per-state-instruction mask cross-check
-  // hook (sim::note_state_access — a TLS load per state op) and one with
-  // that hook compiled out entirely. The engine passes
-  // EngineOptions::check_soundness so release-mode runs pay nothing for
-  // the check's existence while the CI soundness gate can still arm it.
+  // *executed once per retained instruction. Throws CompileError when a
+  // state update references an absent field, and InternalError ("no
+  // program entry") when the program has no entry for `node` — e.g. the
+  // empty program of a removed switch.
+  //
+  // `sound` selects between two instantiations of the same loop, one with
+  // the per-state-instruction mask cross-check hook (sim::note_state_access
+  // — a TLS load per state op) and one with that hook compiled out
+  // entirely. The engine passes EngineOptions::check_soundness so
+  // release-mode runs pay nothing for the check's existence while the CI
+  // soundness gate can still arm it; Network::inject never arms it.
   Outcome run(XfddId node, const Packet& pkt, Store& state,
               Scratch& scratch, std::uint64_t* executed, bool sound) const {
     return sound ? run_impl<true>(node, pkt, state, scratch, executed)
@@ -142,25 +143,18 @@ class DecodedProgram {
   std::vector<std::pair<XfddId, Pc>> entries_;  // sorted by node id
 };
 
-// Direct xFDD interpreter — the sim engine's fastest path.
+// Network-wide flat xFDD — the classifier of the SoA burst datapaths.
 //
-// A switch whose per-switch program tests only locally-placed state can
-// never get stuck: its assembled program contains no IEscape, so every
-// run() from any reachable node walks straight to a leaf. For such
-// switches the NetASM layer adds nothing — the program is a 1:1 transcript
-// of the diagram — and the engine can evaluate the diagram walk itself:
-// each reachable node is flattened once into a dense DNode (hi/lo edges
-// resolved to dense indices, prefix masks pre-computed, state operands
-// interned DecodedExpr slots with constants pre-evaluated, leaf-local
-// write programs flattened into a contiguous op span), and run() chases
-// dense indices instead of program counters.
-//
-// Semantics and *instruction accounting* are bit-for-bit those of the
-// decoded program (and therefore of SoftwareSwitch::run): one counted unit
-// per branch node visited, one per applied local state op, one for the
-// implicit ILeafDone — the per-switch instruction-parity tests hold on
-// either path. Switches with reachable foreign state report
-// eligible() == false and the engine falls back to the decoded program.
+// The whole diagram reachable from the root is flattened once into dense
+// DNodes (hi/lo edges resolved to dense indices, prefix masks
+// pre-computed, state operands interned as DecodedExpr slots with
+// constants pre-evaluated, leaf write programs flattened into a contiguous
+// op span in state_programs() order). It is not a per-switch interpreter:
+// state tests of every owner are kept as kState nodes and leaf spans carry
+// every variable's ops, so the consumers (BurstPipeline, the engine's
+// free-running RTC loop, the ledger) classify the field prefix with
+// classify_burst() and then attribute the state suffix to owners
+// themselves.
 class DirectXfdd {
  public:
   struct DOp {
@@ -187,45 +181,16 @@ class DirectXfdd {
     StateVarId var = 0;
     std::int32_t index = -1, vexpr = -1;  // DecodedExpr ids (kState)
     XfddId leaf = 0;                      // kLeaf: store id to report
-    std::uint32_t ops_begin = 0, ops_end = 0;  // kLeaf: local write span
+    std::uint32_t ops_begin = 0, ops_end = 0;  // kLeaf: write span
   };
 
-  // Flattens the diagram reachable from `root` for switch `sw`. When any
-  // reachable branch tests a state variable `pl` places elsewhere the
-  // result is ineligible (and otherwise empty).
-  static DirectXfdd build(const XfddStore& store, XfddId root,
-                          const Placement& pl, int sw);
-
-  // Network-mode flattening for the burst pipeline: no per-switch
-  // placement filter (state tests of any owner are retained as kState
-  // nodes, leaf write spans carry every variable's ops in
-  // state_programs() order), plus the field-prefix step schedule
-  // classify_burst() walks. run() is not meant for network-mode objects —
-  // the pipeline interprets nodes()/ops() itself with owner attribution.
+  // Flattens the diagram reachable from `root` and builds the field-prefix
+  // step schedule classify_burst() walks.
   static DirectXfdd build_network(const XfddStore& store, XfddId root);
 
   DirectXfdd() = default;
 
-  bool eligible() const { return eligible_; }
-
-  // Drop-in for DecodedProgram::run on eligible switches: resumes at
-  // `node` (the root, an escape-resume branch, or a leaf re-entered for
-  // its local writes) and always resolves to a kLeaf outcome.
-  DecodedProgram::Outcome run(XfddId node, const Packet& pkt, Store& state,
-                              DecodedProgram::Scratch& scratch,
-                              std::uint64_t* executed) const {
-    return run_impl<true>(node, pkt, state, scratch, executed);
-  }
-
-  // Soundness-dispatched run (see DecodedProgram::run overload).
-  DecodedProgram::Outcome run(XfddId node, const Packet& pkt, Store& state,
-                              DecodedProgram::Scratch& scratch,
-                              std::uint64_t* executed, bool sound) const {
-    return sound ? run_impl<true>(node, pkt, state, scratch, executed)
-                 : run_impl<false>(node, pkt, state, scratch, executed);
-  }
-
-  // ---- Batch classification over SoA bursts (network mode only) ----
+  // ---- Batch classification over SoA bursts ----
   //
   // The field-only prefix of every path is switch- and state-independent
   // (the TestOrder invariant puts all field tests before any state test),
@@ -273,20 +238,14 @@ class DirectXfdd {
   const std::vector<DecodedExpr>& exprs() const { return exprs_; }
   std::int32_t dense_root() const { return root_dense_; }
 
-  // Store id of a dense node — the inverse of the flatten index. The
-  // engine's RTC burst path resumes a per-switch interpreter at the
-  // classify terminal, which DNode does not carry for branch kinds.
+  // Store id of a dense node. The engine's RTC burst path resumes the
+  // switch's decoded program at the classify terminal, which DNode does
+  // not carry for branch kinds.
   XfddId orig_id(std::int32_t dense) const {
     return dense_orig_[static_cast<std::size_t>(dense)];
   }
 
  private:
-  template <bool Sound>
-  DecodedProgram::Outcome run_impl(XfddId node, const Packet& pkt,
-                                   Store& state,
-                                   DecodedProgram::Scratch& scratch,
-                                   std::uint64_t* executed) const;
-
   // One field node in classification (topological) order: successors
   // resolve either to a later step (>= 0) or to a terminal encoded as
   // -(dense + 1).
@@ -295,17 +254,13 @@ class DirectXfdd {
     std::int32_t hi_step = -1, lo_step = -1;
   };
 
-  static bool flatten(const XfddStore& store, XfddId root,
-                      const Placement* pl, int sw, DirectXfdd& out);
   void build_field_steps();
 
-  bool eligible_ = false;
   std::vector<DNode> nodes_;  // reachable nodes only, densely indexed
-  std::vector<DOp> ops_;      // flat pool of leaf-local write ops
+  std::vector<DOp> ops_;      // flat pool of leaf write ops
   std::vector<DecodedExpr> exprs_;
-  std::vector<std::pair<XfddId, std::int32_t>> entries_;  // sorted by id
-  std::vector<XfddId> dense_orig_;                        // dense -> store id
-  std::vector<FieldStep> steps_;  // network mode: field-prefix schedule
+  std::vector<XfddId> dense_orig_;  // dense -> store id
+  std::vector<FieldStep> steps_;    // field-prefix schedule
   std::int32_t root_dense_ = -1;
 };
 

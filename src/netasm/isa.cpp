@@ -7,12 +7,6 @@
 namespace snap {
 namespace netasm {
 
-Pc Program::entry_for(XfddId node) const {
-  auto it = entry.find(node);
-  SNAP_CHECK(it != entry.end(), "no entry point for xFDD node");
-  return it->second;
-}
-
 std::string to_string(const Instr& instr) {
   std::ostringstream os;
   std::visit(

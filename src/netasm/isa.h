@@ -104,7 +104,6 @@ struct Program {
   // Entry point per xFDD node id (resume table, §4.5's per-switch split).
   std::map<XfddId, Pc> entry;
 
-  Pc entry_for(XfddId node) const;
   std::string disassemble() const;
 
   // Deterministic compilation makes identical deployments bitwise equal, so

@@ -3,7 +3,7 @@
 namespace snap {
 namespace obs {
 
-thread_local ThreadBuf* tl_buf = nullptr;
+constinit thread_local ThreadBuf* tl_buf = nullptr;
 
 const char* cat_name(Cat c) {
   switch (c) {

@@ -49,7 +49,7 @@ namespace obs {
 // phases, then packet-trace record kinds. Keep cat_name() in sync.
 enum class Cat : std::uint8_t {
   // Engine worker stages.
-  kExec,         // program walk (decoded / xFDD-direct / burst suffix)
+  kExec,         // program walk (decoded program / burst suffix)
   kClassify,     // burst pipeline: vectorized field-prefix classification
   kStateSuffix,  // burst pipeline: per-lane state-test suffix walk
   kWrite,        // leaf write programs (burst stage or kWrite visits)
@@ -59,7 +59,7 @@ enum class Cat : std::uint8_t {
   kRingFull,     // full-ring backpressure (overflow spill / retry)
   // Scheduler stages.
   kDispatch,       // residual dispatch work (event checks, RTC descriptors)
-  kMaskResolve,    // bulk conflict-mask resolution (lookahead buffer refill)
+  kMaskResolve,    // bulk conflict-mask resolution (one burst per refill)
   kWindowAdmit,    // conflict-window admission sweep (gate checks, task fill)
   kBurstAssemble,  // task-burst assembly + SPSC push
   kGateWait,       // conflict-window head blocked on an earlier packet
@@ -192,7 +192,10 @@ class ThreadBuf {
 };
 
 // The thread's bound buffer; null (the default) disarms every hook.
-extern thread_local ThreadBuf* tl_buf;
+// constinit: the compiler then knows the variable needs no dynamic
+// initialization and accesses it directly instead of through the TLS
+// wrapper function (whose null return UBSan reports as a null deref).
+extern constinit thread_local ThreadBuf* tl_buf;
 
 // Scoped bind/unbind — engine threads bind their per-run ThreadBuf for
 // exactly the lifetime of their loop, so buffers never outlive the run

@@ -59,7 +59,6 @@ std::string SimStats::to_json() const {
      << ",\"seconds\":" << seconds << ",\"pps\":" << pps
      << ",\"workers\":" << workers << ",\"burst\":" << burst
      << ",\"steady_allocs\":" << steady_allocs
-     << ",\"direct_switches\":" << direct_switches
      << ",\"deterministic\":" << (deterministic ? "true" : "false")
      << ",\"shard_mode\":\"" << shard_mode << "\""
      << ",\"shard_cross_edges\":" << shard_cross_edges
@@ -142,9 +141,9 @@ struct TrafficEngine::Impl {
     Routing routing;
     RoutingTables tables;
     TestOrder order;
-    std::vector<netasm::DecodedProgram> decoded;  // per switch
-    std::vector<netasm::DirectXfdd> direct;       // per switch (may be empty)
-    int direct_switches = 0;
+    // Per switch: the decoded program the switch held at the swap, shared
+    // with it (install() replaces the switch's pointer, never the object).
+    std::vector<std::shared_ptr<const netasm::DecodedProgram>> programs;
     // Deterministic mode only: this epoch's conflict-mask cache and the
     // scheduler's per-mask confinement memo (mask indices are
     // epoch-relative).
@@ -152,7 +151,7 @@ struct TrafficEngine::Impl {
     std::vector<int> mask_worker;
     // Free-running RTC (built only when the run dispatches SoA bursts):
     // the network-mode flat diagram and the classify plan for the run's
-    // trace universe. Workers resume per-switch interpreters at the
+    // trace universe. Workers resume the switches' decoded programs at the
     // classify terminals.
     netasm::DirectXfdd net_direct;
     netasm::DirectXfdd::ClassifyPlan rtc_plan;
@@ -387,10 +386,6 @@ struct TrafficEngine::Impl {
         splan.mode = "explicit";
         score_plan(*hint, splan);
         break;
-      case ShardMode::kRoundRobin:
-        splan = plan_round_robin(num_sw, W);
-        score_plan(*hint, splan);
-        break;
       case ShardMode::kLocality:
         splan = plan_from_hint(*hint, W);
         break;
@@ -422,22 +417,15 @@ struct TrafficEngine::Impl {
     return *epochs[id % kEpochSlots];
   }
 
-  // Runs switch `sw`'s slice from `node` under epoch `e`: the direct xFDD
-  // walk when the switch has no foreign state, the decoded NetASM program
-  // otherwise.
+  // Runs switch `sw`'s decoded program from `node` under epoch `e`. With
+  // the soundness cross-check off, the per-state-instruction TLS hook is
+  // compiled out of the selected instantiation, not just short-circuited.
   netasm::DecodedProgram::Outcome run_switch(EpochCtx& e, int sw,
                                              XfddId node, const Packet& pkt,
                                              WorkerCtx& ctx) {
     const std::size_t swi = static_cast<std::size_t>(sw);
-    // Soundness-dispatched interpreters: with the cross-check off the
-    // per-state-instruction TLS hook is compiled out of the selected
-    // instantiation, not just short-circuited.
-    if (!e.direct.empty() && e.direct[swi].eligible()) {
-      return e.direct[swi].run(node, pkt, state_of(sw), ctx.scratch,
-                               &ctx.instr[swi], opts.check_soundness);
-    }
-    return e.decoded[swi].run(node, pkt, state_of(sw), ctx.scratch,
-                              &ctx.instr[swi], opts.check_soundness);
+    return e.programs[swi]->run(node, pkt, state_of(sw), ctx.scratch,
+                                &ctx.instr[swi], opts.check_soundness);
   }
 
   // ---- worker side --------------------------------------------------------
@@ -808,8 +796,9 @@ struct TrafficEngine::Impl {
   // ---- scheduler side -----------------------------------------------------
 
   // Snapshots one epoch's full deployment context. Per-switch programs are
-  // read from the Network (apply_rules already installed the delta's), so
-  // the caller must finish patching the Network first.
+  // shared from the Network's switches (apply_rules already installed and
+  // decoded the delta's), so the caller must finish patching the Network
+  // first.
   std::unique_ptr<EpochCtx> build_epoch(
       std::uint32_t id, std::shared_ptr<const XfddStore> owner,
       const XfddStore* store, XfddId root, const Topology& topo,
@@ -825,24 +814,9 @@ struct TrafficEngine::Impl {
     e->tables = RoutingTables::build(topo, routing);
     e->order = order;
     const int num_sw = net->topo().num_switches();
-    e->decoded.reserve(static_cast<std::size_t>(num_sw));
+    e->programs.reserve(static_cast<std::size_t>(num_sw));
     for (int sw = 0; sw < num_sw; ++sw) {
-      e->decoded.push_back(
-          netasm::DecodedProgram::decode(net->switch_at(sw).program()));
-    }
-    if (opts.xfdd_direct) {
-      e->direct.reserve(static_cast<std::size_t>(num_sw));
-      for (int sw = 0; sw < num_sw; ++sw) {
-        // A switch with no program must keep failing through the decoded
-        // path ("no program entry"), not silently interpret the diagram.
-        if (net->switch_at(sw).program().code.empty()) {
-          e->direct.emplace_back();
-        } else {
-          e->direct.push_back(netasm::DirectXfdd::build(
-              *e->store, e->root, e->placement, sw));
-        }
-        if (e->direct.back().eligible()) ++e->direct_switches;
-      }
+      e->programs.push_back(net->switch_at(sw).decoded());
     }
     if (opts.deterministic) {
       e->conflict = std::make_unique<ConflictCache>(*e->store, e->root);
@@ -932,8 +906,9 @@ struct TrafficEngine::Impl {
     // into SoA bursts and hands each worker one burst *descriptor* per
     // owned ingress switch — the worker classifies its lanes vectorized
     // and walks each packet to completion locally. Async events still
-    // work: they merge at burst boundaries.
-    rtc_active = !opts.deterministic && opts.rtc && schedule.empty();
+    // work: they merge at burst boundaries. A free-running run with a
+    // live schedule dispatches per packet instead.
+    rtc_active = !opts.deterministic && schedule.empty();
     if (rtc_active) {
       rtc_storage = make_bursts(
           wl, std::min<int>(kMaxTaskBurst,
@@ -948,7 +923,6 @@ struct TrafficEngine::Impl {
                     net->topo(), net->placement(), net->routing(),
                     net->order());
     EpochCtx* cur = epochs[0].get();
-    stats.direct_switches = cur->direct_switches;
     stats.epoch_slot_hwm = 1;
 
     // Fresh rings and worker contexts. Task-ring capacity is the window
@@ -1020,18 +994,10 @@ struct TrafficEngine::Impl {
     // Confinement worker of the packets currently holding each variable
     // (valid while active[v] > 0; -1 = some holder is unconfined).
     std::vector<int> conf;
-    // Lookahead skip set: variables touched by packets the current
-    // admission sweep skipped over (still pending). A later packet whose
-    // mask intersects this set must not dispatch ahead of them — that is
-    // the invariant that keeps out-of-order admission deterministic.
-    // Stamped per sweep instead of cleared (O(1) reset).
-    std::vector<std::uint64_t> skip_stamp;
-    std::uint64_t sweep_stamp = 0;
     auto grow_gate = [&](std::size_t nv) {
       if (nv > active.size()) {
         active.resize(nv, 0);
         conf.resize(nv, -1);
-        skip_stamp.resize(nv, 0);
       }
     };
     if (opts.deterministic) {
@@ -1124,101 +1090,33 @@ struct TrafficEngine::Impl {
     Timer timer;
     std::size_t next = 0, completed = 0, inflight = 0;
     std::size_t ei = 0;
-    // Conflict-window lookahead depth (deterministic mode): how far past a
-    // blocked packet the admission sweep may scan for later packets whose
-    // masks are disjoint from everything pending. 1 = strict head-of-line
-    // (the historical behaviour, and what lookahead=0 requests).
-    const std::size_t L =
-        opts.deterministic
-            ? std::min<std::size_t>(
-                  std::max<std::size_t>(
-                      opts.lookahead > 0
-                          ? static_cast<std::size_t>(opts.lookahead)
-                          : 1,
-                      1),
-                  opts.window)
-            : 1;
-    // Mask lookahead buffer: conflict-mask handles for a sliding range of
-    // the sequence, resolved in bulk so the flow front-cache stays hot.
-    // Epoch-relative, so an applied event invalidates the range.
-    const std::size_t AH = std::max<std::size_t>(static_cast<std::size_t>(B), L);
-    std::vector<std::uint32_t> mask_ahead(AH);
-    std::size_t ahead_begin = 0, ahead_end = 0;
-    // Retirement ring: completions may arrive for out-of-order dispatches,
-    // but stats/latency retire strictly in sequence order so the observable
-    // trajectory is identical to head-of-line dispatch. Sized so every
-    // live dispatched-or-done slot (window + lookahead + one RTC burst)
-    // is distinct modulo the ring.
-    std::size_t rs = 1;
-    while (rs < opts.window + L + static_cast<std::size_t>(kMaxTaskBurst) + 1)
-      rs <<= 1;
-    const std::size_t rmask = rs - 1;
-    struct RetireSlot {
-      std::uint32_t hops = 0;
-      std::uint32_t latency_us = 0;
-      std::uint8_t done = 0;
-    };
-    std::vector<RetireSlot> retire(rs);
-    // Dispatched-but-not-yet-sequence-retired bit per in-window sequence
-    // (set on out-of-order admission; next skips over set bits).
-    std::vector<std::uint8_t> lk_disp(rs, 0);
-    // Dispatch frontier: one past the highest sequence dispatched so far
-    // (>= next under lookahead). Async events must land at or beyond it.
-    std::size_t frontier = 0;
+    // Conflict-mask handles for the next burst of the sequence, resolved in
+    // one bulk lookup so the flow front-cache stays hot. Epoch-relative, so
+    // an applied event empties the buffer.
+    std::vector<std::uint32_t> masks(static_cast<std::size_t>(B));
+    std::size_t masks_begin = 0, masks_end = 0;
     // RTC mode cursors: next burst to hand out, and the per-worker first
     // owned ingress switch of the burst being assembled.
     std::size_t bi = 0;
     std::vector<int> rtc_owner_sw(static_cast<std::size_t>(W), -1);
-    // Gate-state generation: bumped whenever the conflict gate could have
-    // opened (completions drained, epoch swapped). An admission sweep that
-    // dispatched nothing records the generation it saw; re-scanning the
-    // same blocked window before the gate changes is pure waste, so the
-    // sweep skips until the generation moves.
-    std::uint64_t gate_change = 1, last_sweep_gate = 0;
-    // Resolve the conflict-mask handle of sequence s, refilling the bulk
-    // lookahead buffer as the sweep advances. Extension (the common case)
-    // keeps already-resolved handles; a rebase after an epoch swap or a
-    // window jump resolves from `next` forward.
-    auto mask_at = [&](std::size_t s) -> std::uint32_t {
-      if (s < ahead_begin || s >= ahead_end) {
+    // The conflict-mask handle of the window head `next`, refilling the
+    // buffer when the head runs past it. A refill stops at the next event's
+    // boundary: packets behind it resolve against the new epoch's cache,
+    // so every packet is looked up exactly once.
+    auto head_mask = [&]() -> std::uint32_t {
+      if (next >= masks_end) {
         obs::stage_mark(obs::Cat::kWindowAdmit);
-        if (ahead_end > ahead_begin && next >= ahead_begin &&
-            next < ahead_end && s >= ahead_begin) {
-          // Slide: drop handles before the window origin, keep the rest
-          // (each packet's mask resolves exactly once per epoch), then
-          // extend by at least a burst.
-          if (next > ahead_begin) {
-            std::copy(mask_ahead.begin() +
-                          static_cast<std::ptrdiff_t>(next - ahead_begin),
-                      mask_ahead.begin() +
-                          static_cast<std::ptrdiff_t>(ahead_end - ahead_begin),
-                      mask_ahead.begin());
-            ahead_begin = next;
-          }
-          std::size_t upto =
-              std::min({N, ahead_begin + AH,
-                        std::max(s + 1,
-                                 ahead_end + static_cast<std::size_t>(B))});
-          if (upto > ahead_end) {
-            cur->conflict->mask_indices(&wl.packets[ahead_end],
-                                        upto - ahead_end,
-                                        mask_ahead.data() +
-                                            (ahead_end - ahead_begin));
-            ahead_end = upto;
-          }
-        } else {
-          ahead_begin = next;
-          std::size_t upto =
-              std::min({N, ahead_begin + AH,
-                        std::max(s + 1,
-                                 ahead_begin + static_cast<std::size_t>(B))});
-          cur->conflict->mask_indices(&wl.packets[ahead_begin],
-                                      upto - ahead_begin, mask_ahead.data());
-          ahead_end = upto;
+        std::size_t upto = std::min(N, next + static_cast<std::size_t>(B));
+        if (ei < schedule.size() && schedule[ei].at_seq > next) {
+          upto = std::min(upto, schedule[ei].at_seq);
         }
+        cur->conflict->mask_indices(&wl.packets[next], upto - next,
+                                    masks.data());
+        masks_begin = next;
+        masks_end = upto;
         obs::stage_mark(obs::Cat::kMaskResolve);
       }
-      return mask_ahead[s - ahead_begin];
+      return masks[next - masks_begin];
     };
     double due_s = -1;  // when the pending event's boundary was reached
     std::array<Completion, static_cast<std::size_t>(kMaxTaskBurst)> cbuf;
@@ -1263,12 +1161,14 @@ struct TrafficEngine::Impl {
               obs::instant(obs::Cat::kPktComplete, c.seq, 0, c.epoch,
                            c.hops);
             }
-            // Stats retire in sequence order (below), not arrival order:
-            // lookahead dispatches may complete before earlier packets.
-            RetireSlot& sl = retire[c.seq & rmask];
-            sl.hops = c.hops;
-            sl.latency_us = c.latency_us;
-            sl.done = 1;
+            // Stats fold on arrival: hop sums and histograms commute, so
+            // the order completions arrive in does not show.
+            stats.hops += c.hops;
+            ++stats.hop_histogram[std::min<std::uint32_t>(c.hops, 64)];
+            std::uint32_t bucket = 0;
+            while ((1u << bucket) <= c.latency_us && bucket < 31) ++bucket;
+            ++stats.latency_histogram[bucket];
+            ++completed;
             auto af = awaiting_first.find(c.epoch);
             if (af != awaiting_first.end()) {
               double lat = timer.seconds() - event_due_s[af->second];
@@ -1287,21 +1187,7 @@ struct TrafficEngine::Impl {
           }
         }
       }
-      // Sequence-ordered retirement: fold stats for the contiguous done
-      // prefix. Identical trajectory to head-of-line dispatch regardless
-      // of the order completions arrived in.
-      while (completed < N && retire[completed & rmask].done) {
-        RetireSlot& r = retire[completed & rmask];
-        r.done = 0;
-        stats.hops += r.hops;
-        ++stats.hop_histogram[std::min<std::uint32_t>(r.hops, 64)];
-        std::uint32_t bucket = 0;
-        while ((1u << bucket) <= r.latency_us && bucket < 31) ++bucket;
-        ++stats.latency_histogram[bucket];
-        ++completed;
-      }
       live_completed.store(completed, std::memory_order_relaxed);
-      if (progress) ++gate_change;
       return progress;
     };
 
@@ -1428,7 +1314,7 @@ struct TrafficEngine::Impl {
       for (int s : clear_sw) send_barrier(s, true);
       for (int s : prune_sw) send_barrier(s, false);
       if (pending_migrations == 0) release_hold();
-      ahead_begin = ahead_end = 0;  // mask handles are epoch-relative
+      masks_end = 0;  // mask handles are epoch-relative
       stats.epochs = id + 1;
       LiveEventStats es;
       es.label = ev.label;
@@ -1442,7 +1328,6 @@ struct TrafficEngine::Impl {
       stats.events.push_back(std::move(es));
       live_events.store(stats.events.size(), std::memory_order_relaxed);
       live_epoch.store(id, std::memory_order_relaxed);
-      ++gate_change;  // new conflict cache: re-scan the admission window
       return true;
     };
 
@@ -1456,10 +1341,9 @@ struct TrafficEngine::Impl {
         async_pending.store(false, std::memory_order_relaxed);
       }
       for (LiveEvent& ev : got) {
-        // Land at the dispatch frontier, not `next`: lookahead may have
-        // dispatched packets past `next`, and those already belong to the
-        // current epoch.
-        ev.at_seq = std::max(next, frontier);
+        // Land at the window head: everything before it already belongs
+        // to the current epoch.
+        ev.at_seq = next;
         schedule.insert(
             std::upper_bound(schedule.begin() +
                                  static_cast<std::ptrdiff_t>(ei),
@@ -1482,7 +1366,7 @@ struct TrafficEngine::Impl {
       if (rtc_active) {
         // Free-running RTC dispatch: one burst descriptor per owning
         // worker, no per-packet scheduler work. Async events merged above
-        // land at the frontier (a burst boundary) and swap here.
+        // land at `next` (a burst boundary) and swap here.
         while (bi < rtc_storage.bursts.size()) {
           if (ei < schedule.size() && schedule[ei].at_seq <= next) {
             if (due_s < 0) due_s = timer.seconds();
@@ -1497,7 +1381,6 @@ struct TrafficEngine::Impl {
           const PacketBurst& b = rtc_storage.bursts[bi];
           const std::size_t n = static_cast<std::size_t>(b.n);
           if (inflight + n > opts.window) break;
-          if (next + n > completed + rs) break;  // retire-ring aliasing
           std::fill(rtc_owner_sw.begin(), rtc_owner_sw.end(), -1);
           for (std::size_t l = 0; l < n; ++l) {
             const int isw = cur->topo.port_switch(b.inport[l]);
@@ -1522,65 +1405,38 @@ struct TrafficEngine::Impl {
           inflight += n;
           inflight_slot[cur->id % kEpochSlots] += n;
           next += n;
-          frontier = next;
           ++bi;
           ++stats.rtc_bursts;
           progress = true;
           obs::stage_mark(obs::Cat::kBurstAssemble);
         }
       } else {
-      bool sweep_more = true;
-      while (sweep_more && inflight < opts.window) {
-        sweep_more = false;
-        // Advance the window origin over sequence slots the lookahead
-        // already dispatched.
-        while (next < N && lk_disp[next & rmask]) {
-          lk_disp[next & rmask] = 0;
-          ++next;
-        }
-        // Every event due at this boundary swaps before the packet at its
-        // at_seq dispatches: a packet's epoch is exactly the number of
-        // events at or before its sequence number, in both modes. The
-        // admission scan below never crosses a pending at_seq, so the
-        // invariant holds under lookahead too.
-        if (ei < schedule.size() && schedule[ei].at_seq <= next) {
-          if (due_s < 0) due_s = timer.seconds();
-          bool applied = try_apply_event(schedule[ei]);
-          // Everything the event machinery just did (polled preconditions
-          // or built the whole epoch snapshot) is epoch-swap time.
-          obs::stage_mark(obs::Cat::kEpochSwap);
-          if (!applied) break;  // drain first
-          ++ei;
-          due_s = -1;
-          progress = true;
-          sweep_more = true;
-          continue;
-        }
-        if (next >= N) break;
-        if (gate_change == last_sweep_gate) break;  // nothing opened since
-        // Admission sweep: scan up to L sequences past the window origin.
-        // A blocked packet no longer stalls the window — later packets
-        // whose masks are disjoint from every pending (blocked or active)
-        // mask dispatch past it. Determinism: conflicting pairs always
-        // dispatch in sequence order (the skip set carries the blocked
-        // packets' variables), and stats retire in sequence order.
-        std::size_t scan_end = std::min(N, next + L);
-        if (ei < schedule.size() && schedule[ei].at_seq < scan_end) {
-          scan_end = schedule[ei].at_seq;
-        }
-        if (completed + rs < scan_end) scan_end = completed + rs;
-        ++sweep_stamp;
-        bool earlier_pending = false;
-        bool scan_dispatched = false;
-        for (std::size_t s = next; s < scan_end && inflight < opts.window;
-             ++s) {
-          if (lk_disp[s & rmask]) continue;  // already in flight
-          const SimPacket& sp = wl.packets[s];
+        // Head-of-line admission: dispatch in sequence order until the
+        // window fills or the head's conflict mask is blocked.
+        while (inflight < opts.window) {
+          // Every event due at this boundary swaps before the packet at its
+          // at_seq dispatches: a packet's epoch is exactly the number of
+          // events at or before its sequence number, in both modes.
+          if (ei < schedule.size() && schedule[ei].at_seq <= next) {
+            if (due_s < 0) due_s = timer.seconds();
+            bool applied = try_apply_event(schedule[ei]);
+            // Everything the event machinery just did (polled
+            // preconditions or built the whole epoch snapshot) is
+            // epoch-swap time.
+            obs::stage_mark(obs::Cat::kEpochSwap);
+            if (!applied) break;  // drain first
+            ++ei;
+            due_s = -1;
+            progress = true;
+            continue;
+          }
+          if (next >= N) break;
+          const SimPacket& sp = wl.packets[next];
           const int isw = cur->topo.port_switch(sp.inport);
           std::uint32_t hold_mask = kNoMask;
           std::uint32_t midx = 0;
           if (opts.deterministic) {
-            midx = mask_at(s);
+            midx = head_mask();
             const std::vector<StateVarId>& vars = cur->conflict->mask(midx);
             if (!vars.empty()) {
               const int cw = worker_of(isw);
@@ -1593,26 +1449,19 @@ struct TrafficEngine::Impl {
                 // A conflict blocks unless both this packet and every
                 // current holder of the variable are confined to the same
                 // worker (then ring FIFO serializes them in sequence
-                // order). A variable in this sweep's skip set belongs to
-                // an earlier still-pending packet — sequence order again.
-                if (skip_stamp[v] == sweep_stamp ||
-                    (active[v] > 0 && !(confined && conf[v] == cw))) {
+                // order).
+                if (active[v] > 0 && !(confined && conf[v] == cw)) {
                   blocked = true;
                   break;
                 }
               }
               if (blocked) {
-                for (StateVarId v : vars) skip_stamp[v] = sweep_stamp;
-                if (s == next) {
-                  head_blocked = true;
-                  if (tsample && next % tsample == 0 &&
-                      blocked_seq != next) {
-                    blocked_seq = next;
-                    blocked_t0 = obs::tick_ns();
-                  }
+                head_blocked = true;
+                if (tsample && next % tsample == 0 && blocked_seq != next) {
+                  blocked_seq = next;
+                  blocked_t0 = obs::tick_ns();
                 }
-                earlier_pending = true;
-                continue;  // lookahead: try the packets behind it
+                break;
               }
               for (StateVarId v : vars) {
                 if (active[v]++ == 0) conf[v] = confined ? cw : -1;
@@ -1623,24 +1472,24 @@ struct TrafficEngine::Impl {
           Task t;
           t.mask_idx = hold_mask;
           t.phase = Task::Phase::kResolve;
-          t.seq = static_cast<std::uint32_t>(s);
+          t.seq = static_cast<std::uint32_t>(next);
           t.epoch = cur->id;
           t.sw = isw;
           t.node = cur->root;
           t.guard = guard_budget;
           t.inport = sp.inport;
           t.t_dispatch_ns = now_ns();
-          if (tsample && s % tsample == 0) {
+          if (tsample && next % tsample == 0) {
             t.traced = true;
-            if (blocked_seq == s) {
+            if (blocked_seq == next) {
               // The sampled head waited in the conflict gate from
               // blocked_t0 until now.
               obs::record(obs::Cat::kPktGateWait, blocked_t0,
-                          obs::tick_ns(), s,
+                          obs::tick_ns(), next,
                           static_cast<std::uint64_t>(isw), cur->id);
               blocked_seq = std::numeric_limits<std::uint64_t>::max();
             }
-            obs::instant(obs::Cat::kPktDispatch, s,
+            obs::instant(obs::Cat::kPktDispatch, next,
                          static_cast<std::uint64_t>(isw), cur->id);
           }
           if (opts.check_soundness && opts.deterministic) {
@@ -1665,21 +1514,13 @@ struct TrafficEngine::Impl {
             }
           }
           t.pkt = sp.pkt;
-          if (earlier_pending) ++stats.lookahead_dispatches;
           ++inflight_slot[cur->id % kEpochSlots];
           sched_send(std::move(t));
-          lk_disp[s & rmask] = 1;
-          if (s + 1 > frontier) frontier = s + 1;
+          ++next;
           ++inflight;
           progress = true;
-          sweep_more = true;
-          scan_dispatched = true;
         }
-        // A scan that admitted nothing is a fixed point for this gate
-        // generation — skip further scans until the gate moves.
-        if (!scan_dispatched) last_sweep_gate = gate_change;
         obs::stage_mark(obs::Cat::kWindowAdmit);
-      }
       }
       // Stage clock: residual dispatch work (event checks, RTC
       // descriptors) ends here; mask resolution and window admission were
@@ -1754,6 +1595,9 @@ struct TrafficEngine::Impl {
     }
     stop.store(true, std::memory_order_release);
     for (auto& f : loops) f.wait();
+    // Joining the workers is the last drain; attribute it before the
+    // scheduler's clock stops.
+    obs::stage_mark(obs::Cat::kDrain);
     if (sched_buf) sched_buf->finish();
     stats.seconds = timer.seconds();
     live_seconds_ns.store(static_cast<std::uint64_t>(stats.seconds * 1e9),
@@ -1788,8 +1632,8 @@ struct TrafficEngine::Impl {
       marks.insert(marks.end(), ctx.epoch_marks.begin(),
                    ctx.epoch_marks.end());
     }
-    // Fold the decoded fast-path's instruction counts into the switches'
-    // own counters so instructions_executed() stays meaningful. (Across
+    // Fold the workers' instruction counts into the switches' own
+    // counters so instructions_executed() stays meaningful. (Across
     // live events this folds the whole run into the final programs'
     // counters — apply_rules reset them at each swap.)
     for (int sw = 0; sw < num_sw; ++sw) {

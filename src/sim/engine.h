@@ -4,17 +4,17 @@
 // state variables across switches, so a switch's tables have exactly one
 // writer — the switch itself. The engine exploits that by sharding switches
 // over single-threaded workers (a ShardPlan switch→worker map, by default
-// the compiler's conflict-locality plan — sim/shardplan.h — with the
-// historical sw % W as a baseline mode; per-switch execution in the NetASM
-// model of Shahbaz & Feamster [32]): each worker runs the decoded
-// programs (netasm/decoded.h) of its switches against their worker-local
-// Store tables, so no lock ever guards state. Packets move between shards
-// as messages over SPSC rings (sim/spsc.h): a stuck packet becomes a
-// kResolve message to the owning variable's shard, a distributed leaf write
-// becomes a kWrite visit chain, and egress walks complete inline on the
-// final shard (they only touch the Network's atomic hop counters).
+// the compiler's conflict-locality plan — sim/shardplan.h; per-switch
+// execution in the NetASM model of Shahbaz & Feamster [32]): each worker
+// runs the decoded programs (netasm/decoded.h) of its switches against
+// their worker-local Store tables, so no lock ever guards state. Packets
+// move between shards as messages over SPSC rings (sim/spsc.h): a stuck
+// packet becomes a kResolve message to the owning variable's shard, a
+// distributed leaf write becomes a kWrite visit chain, and egress walks
+// complete inline on the final shard (they only touch the Network's atomic
+// hop counters).
 //
-// Three levers close the gap between the per-packet scheduler round-trip
+// Two levers close the gap between the per-packet scheduler round-trip
 // and line rate:
 //   - Burst dispatch: tasks and completions cross every ring in
 //     fixed-size bursts (EngineOptions::burst, up to kMaxTaskBurst per
@@ -27,15 +27,13 @@
 //     function of the packet's values on the diagram's tested fields, so
 //     the scheduler keys it by that field signature (with a per-flow front
 //     cache) and re-walks the diagram only for never-seen signatures.
-//   - xFDD-direct interpretation (netasm::DirectXfdd): switches whose
-//     program tests only locally-placed state can never get stuck, so
-//     their walks evaluate the diagram directly and skip NetASM
-//     instruction dispatch — same semantics, same instruction accounting.
 //
 // Determinism. In deterministic mode (the default) the scheduler replays
-// the workload's global sequence order under a conflict window: packet k is
-// dispatched only once every incomplete earlier packet it shares a state
-// variable with has completed. The shared-variable over-approximation is a
+// the workload's global sequence order under a conflict window: packets
+// are admitted head-of-line, and packet k is dispatched only once every
+// incomplete earlier packet it shares a state variable with has completed
+// (or, when both are confined to one worker, is queued ahead of it on
+// that worker's ring). The shared-variable over-approximation is a
 // field-consistent walk of the xFDD (field tests decided by the packet,
 // both branches of state tests taken, leaf write-sets unioned), so any
 // variable the packet *could* read or write is covered. Conflicting packets
@@ -43,17 +41,18 @@
 // and deliveries are merge-sorted by (sequence, copy) — the result is
 // byte-identical to Network::inject_batch over the same workload for every
 // worker count and batch size, which tests/test_sim.cpp and
-// bench_throughput --check enforce across the policy corpus. Throughput
-// mode drops the conflict gate (workers free-run over their inboxes) for
-// peak-pps measurements where cross-packet state ordering may differ from
-// serial.
+// bench_throughput --check enforce across the policy corpus. Free-running
+// mode drops the conflict gate for peak-pps measurements where
+// cross-packet state ordering may differ from serial: with no live
+// schedule, workers drain whole SoA bursts run-to-completion; with one,
+// the scheduler dispatches per packet.
 //
 // Live updates (epoch-based rule swap). run_live() interleaves Session
 // RuleDeltas into a running workload without draining it. Every deployment
 // context a packet can observe — diagram store + root, topology, routing
-// tables, placement, test order, decoded programs, DirectXfdd artifacts,
-// and (deterministic mode) the conflict cache — is snapshotted into an
-// immutable EpochCtx; each task carries the id of the epoch it was
+// tables, placement, test order, the switches' decoded programs (shared
+// with the switches, not copied), the RTC classifier, and (deterministic
+// mode) the conflict cache — is snapshotted into an immutable EpochCtx; each task carries the id of the epoch it was
 // dispatched under and resolves *all* context through it for its entire
 // walk. That is the consistency contract: a packet observes exactly one
 // policy epoch across all of its hops, in both scheduling modes, because
@@ -119,9 +118,8 @@ inline constexpr bool kSoundnessCheckDefault = true;
 
 // How the engine maps switches onto workers (see sim/shardplan.h).
 enum class ShardMode {
-  kLocality,    // compiler conflict-locality plan (RuleDelta hint or derived)
-  kRoundRobin,  // historical sw % W baseline
-  kExplicit,    // EngineOptions::shard_map verbatim
+  kLocality,  // compiler conflict-locality plan (RuleDelta hint or derived)
+  kExplicit,  // EngineOptions::shard_map verbatim
 };
 
 struct EngineOptions {
@@ -133,18 +131,10 @@ struct EngineOptions {
   // worker id in [0, workers) per switch).
   ShardMode shard = ShardMode::kLocality;
   std::vector<int> shard_map;
-  // Deterministic mode: how many sequence positions past a blocked head
-  // the admission sweep may look for mask-disjoint packets to dispatch
-  // early (completions still retire in sequence order, so deliveries and
-  // state stay byte-identical to serial). 0 = strict head-of-line
-  // (pre-lookahead behavior); clamped to the window.
-  int lookahead = 256;
-  // Free-running mode: drain whole 64-packet bursts through per-worker
-  // run-to-completion loops (SoA classification at the ingress worker,
-  // then the normal per-switch walk), instead of per-packet dispatch.
-  // Engaged only when no live events are scheduled.
-  bool rtc = true;
   // Deterministic (serial-equivalent) scheduling vs free-running shards.
+  // Free-running runs with an empty schedule drain whole 64-packet bursts
+  // through per-worker run-to-completion loops (SoA classification at the
+  // ingress worker, then the normal per-switch walk).
   bool deterministic = true;
   // Maximum packets in flight (also sizes the rings).
   std::size_t window = 512;
@@ -152,9 +142,6 @@ struct EngineOptions {
   // flushed early on conflict-window boundaries and idle sweeps, so small
   // workloads never stall behind a partial burst.
   int burst = 32;
-  // Use the direct xFDD interpreter on switches with no foreign state
-  // (false forces every switch through the decoded NetASM path).
-  bool xfdd_direct = true;
   // Record a (sequence, epoch) mark for every program run a packet
   // performs (epoch_marks()); the live-update contract tests read these.
   bool record_epochs = false;
@@ -237,8 +224,7 @@ struct SimStats {
   double seconds = 0;
   double pps = 0;
   int workers = 1;
-  int burst = 1;            // effective tasks per ring message
-  int direct_switches = 0;  // switches served by the xFDD-direct path
+  int burst = 1;  // effective tasks per ring message
   // Scheduler-side per-packet heap events in the dispatch/completion loop
   // (ring-overflow spills and test-only mask corruption). Zero in the
   // steady state: masks ride in the tasks themselves and the rings are
@@ -248,15 +234,15 @@ struct SimStats {
   // Shard-plan provenance and quality (scored against the run's hint):
   // hint edges whose endpoints landed on different workers are potential
   // scheduler round trips.
-  std::string shard_mode;  // "locality" | "round_robin" | "explicit"
+  std::string shard_mode;  // "locality" | "explicit"
   std::uint64_t shard_cross_edges = 0;
   std::uint64_t shard_total_edges = 0;
   // Epoch swaps whose re-placement made the frozen plan cut more conflict
   // edges than a fresh plan would (plans never change mid-run; this counts
   // the divergence instead).
   std::uint64_t shard_drift = 0;
-  // Deterministic lookahead: packets dispatched ahead of a blocked earlier
-  // packet (out of admission order, still retired in sequence order).
+  // Packets dispatched ahead of a blocked earlier packet. Admission is
+  // head-of-line, so this is always 0; kept because reports read it.
   std::uint64_t lookahead_dispatches = 0;
   // Free-running RTC: 64-packet bursts dispatched as per-worker
   // run-to-completion descriptors.

@@ -149,16 +149,6 @@ void score_plan(const ShardHint& hint, ShardPlan& plan) {
   }
 }
 
-ShardPlan plan_round_robin(int num_switches, int workers) {
-  ShardPlan p;
-  p.workers = std::max(workers, 1);
-  p.mode = "round_robin";
-  p.worker.resize(static_cast<std::size_t>(std::max(num_switches, 0)));
-  for (int sw = 0; sw < num_switches; ++sw) p.worker[sw] = sw % p.workers;
-  p.load.assign(static_cast<std::size_t>(p.workers), 0.0);
-  return p;
-}
-
 ShardPlan plan_from_hint(const ShardHint& hint, int workers) {
   const int n = hint.num_switches;
   const int W = std::max(workers, 1);

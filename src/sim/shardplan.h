@@ -1,5 +1,5 @@
 // Conflict-locality shard planning: the compiler-computed switch→worker
-// map that replaces the engine's historical `sw % W` modulus.
+// map the traffic engine runs with.
 //
 // PR 9's cycle accounting showed deterministic multi-worker mode is
 // dispatch-bound: every packet whose conflict mask spans switches owned by
@@ -59,7 +59,7 @@ struct ShardHint {
 struct ShardPlan {
   std::vector<int> worker;  // indexed by switch id
   int workers = 0;
-  std::string mode;  // "locality" | "round_robin" | "explicit"
+  std::string mode;  // "locality" | "explicit"
 
   std::vector<double> load;  // per-worker summed switch weight
   std::size_t cross_edges = 0, total_edges = 0;
@@ -79,17 +79,14 @@ ShardHint build_shard_hint(const XfddStore& store, XfddId root,
                            const TestOrder& order,
                            const PacketStateMap* psmap = nullptr);
 
-// The historical baseline: worker[sw] = sw % workers.
-ShardPlan plan_round_robin(int num_switches, int workers);
-
 // Greedy locality plan (see file comment). Deterministic: ties break by
 // worker index, switch order by (incident weight, id). Every worker gets
 // at least one switch when workers <= num_switches.
 ShardPlan plan_from_hint(const ShardHint& hint, int workers);
 
-// Recomputes plan.load / cross metrics against `hint` (for explicit or
-// round-robin plans, and for re-scoring a frozen plan after an epoch
-// swap's re-placement).
+// Recomputes plan.load / cross metrics against `hint` (for explicit
+// plans, and for re-scoring a frozen plan after an epoch swap's
+// re-placement).
 void score_plan(const ShardHint& hint, ShardPlan& plan);
 
 }  // namespace sim

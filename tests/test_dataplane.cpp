@@ -292,6 +292,72 @@ TEST(Dataplane, RandomTraceEquivalenceProperty) {
   }
 }
 
+// Instruction accounting, counted by hand: each switch is charged one unit
+// per retained instruction on the packet's path — branches, escapes, state
+// ops and the leaf-done; atomic-region markers are not work. There is one
+// per-switch interpreter, so the expected counts are spelled out here
+// instead of compared against a second one.
+TEST(Dataplane, InstructionAccountingMatchesHandCount) {
+  Topology topo("line2", 2);
+  topo.add_duplex(0, 1, 1000.0);
+  topo.attach_port(1, 0);
+  topo.attach_port(2, 1);
+  // A field test at the root, then a state test on ia-cnt whose pass branch
+  // increments it. ia-cnt lives on switch 1, so the ingress switch 0
+  // escapes on the test and switch 1 resumes there and writes locally.
+  const StateVarId cnt = state_var_id("ia-cnt");
+  PolPtr p = ite(test("dstip", 7),
+                 ite(stest("ia-cnt", idx("srcip"), lit(0)),
+                     sinc("ia-cnt", idx("srcip")) >> mod("outport", 2),
+                     mod("outport", 2)),
+                 mod("outport", 2));
+  XfddStore store;
+  TestOrder order;
+  XfddId root = to_xfdd(store, order, p);
+  Placement pl;
+  pl.switch_of[cnt] = 1;
+  Network net(topo, store, root, pl, Routing{}, order);
+  auto executed = [&](int sw) {
+    return net.switch_at(sw).instructions_executed();
+  };
+
+  Packet hit{{"dstip", 7}, {"srcip", 5}};
+  auto out = net.inject(1, hit);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].outport, 2);
+  EXPECT_EQ(net.switch_at(1).state().get(cnt, {5}), 1);
+  // Switch 0: branch(dstip) + escape(ia-cnt).
+  EXPECT_EQ(executed(0), 2u);
+  // Switch 1: branch(ia-cnt) + inc(ia-cnt) + leaf-done; the atomic region
+  // around the increment is not counted.
+  EXPECT_EQ(executed(1), 3u);
+
+  // ia-cnt[5] is now 1, so the state test fails into a leaf with no
+  // writes: switch 0 as before, switch 1 branch + leaf-done.
+  net.inject(1, hit);
+  EXPECT_EQ(executed(0), 4u);
+  EXPECT_EQ(executed(1), 5u);
+
+  // A packet failing the field test resolves on switch 0 alone: branch +
+  // leaf-done. Switch 1 only forwards it to egress.
+  net.inject(1, Packet{{"dstip", 8}, {"srcip", 5}});
+  EXPECT_EQ(executed(0), 6u);
+  EXPECT_EQ(executed(1), 5u);
+
+  // A removed switch has an empty program: a packet reaching it fails with
+  // a typed error instead of running anything.
+  net.switch_at(0).install(netasm::Program{});
+  try {
+    net.inject(1, hit);
+    FAIL() << "an empty program must not resolve a packet";
+  } catch (const InternalError& e) {
+    EXPECT_NE(std::string(e.what()).find("no program entry"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(executed(0), 6u);
+}
+
 TEST(Dataplane, HopsFollowOptimizerPaths) {
   // A stateless flow between two ports must use exactly the optimizer's
   // path length.

@@ -305,9 +305,12 @@ TEST(LiveUpdate, ApplyUnderFullRingOccupancyDropsNothing) {
     opts.window = window;
     opts.record_epochs = true;
     // The locality plan would co-locate both owners and the walk would
-    // never cross a worker boundary; round-robin keeps them apart so the
+    // never cross a worker boundary; an sw % 2 map keeps them apart so the
     // event really migrates state between workers under ring pressure.
-    opts.shard = sim::ShardMode::kRoundRobin;
+    opts.shard = sim::ShardMode::kExplicit;
+    for (int sw = 0; sw < topo.num_switches(); ++sw) {
+      opts.shard_map.push_back(sw % opts.workers);
+    }
     sim::TrafficEngine engine(cold.delta, opts);
     auto out = engine.run_live(wl, schedule);
     std::string tag = "window=" + std::to_string(window);

@@ -178,7 +178,7 @@ const char* const kStatsKeys[] = {
     "instructions",    "hops",             "conflict_hits",
     "conflict_misses", "seconds",          "pps",
     "workers",         "burst",            "steady_allocs",
-    "direct_switches", "deterministic",    "per_switch_instructions",
+    "deterministic",   "per_switch_instructions",
     "per_switch_events", "hop_histogram",  "latency_us_log2_histogram",
     "epoch_slot_hwm",  "epoch_stall_slot", "epoch_stall_mask",
     "epoch_stall_migration", "trace_records", "trace_dropped",
@@ -225,8 +225,7 @@ TEST(ObsGoldenSchema, CommittedBenchTrajectory) {
        {"packets", "workers", "cores", "burst", "repeat", "pps", "serial",
         "serial_scalar", "serial_profiled", "deterministic",
         "deterministic_confined_w1", "deterministic_traced",
-        "deterministic_soundness", "deterministic_lookahead",
-        "free_running", "free_running_rtc", "overhead",
+        "deterministic_soundness", "free_running", "overhead",
         "disarmed_over_serial", "profiled_over_serial",
         "traced_over_deterministic", "dispatch_share", "allocs",
         "deliveries", "state_entries", "corpus_policies_checked",

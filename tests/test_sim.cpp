@@ -31,6 +31,16 @@ void expect_same_deliveries(const std::vector<Network::Delivery>& a,
   }
 }
 
+// An explicit sw % W switch→worker map: spreads state owners across
+// workers where the locality plan would co-locate them.
+std::vector<int> modulo_map(const Topology& topo, int workers) {
+  std::vector<int> map;
+  for (int sw = 0; sw < topo.num_switches(); ++sw) {
+    map.push_back(sw % workers);
+  }
+  return map;
+}
+
 // The shared 11-policy evaluation corpus (thresholds low so terminal
 // branches trigger, egress included so deliveries are nonempty).
 std::vector<apps::CorpusApp> corpus(const Topology& topo) {
@@ -142,9 +152,8 @@ TEST_P(SimCorpus, ShardedMatchesSerialAcrossWorkerCounts) {
           << burst << "\nserial:\n" << serial_state.to_string()
           << "engine:\n" << engine.network().merged_state().to_string();
       // Faithful replication extends to hop accounting and to per-switch
-      // instruction counts (the decoded/direct fast paths and the
-      // reference interpreter count in the same units: atomic markers
-      // excluded).
+      // instruction counts (the engine's workers and the serial path run
+      // the same decoded programs).
       EXPECT_EQ(serial.total_hops(), engine.network().total_hops())
           << c.name << " at " << workers << " workers, burst " << burst;
       EXPECT_EQ(engine.stats().packets, wl.packets.size());
@@ -180,8 +189,8 @@ TEST_P(SimCorpus, ShardMapsPreserveSerialEquivalence) {
   Store serial_state = serial.merged_state();
 
   // Determinism must be a property of the scheduler alone: any switch→worker
-  // map — the compiler's locality plan, the sw % W baseline, or a map built
-  // to scatter every conflict component across workers — replays the serial
+  // map — the compiler's locality plan, an sw % W map, or a map built to
+  // scatter every conflict component across workers — replays the serial
   // trajectory byte-identically. Only throughput may differ.
   for (int workers : {1, 2, 8}) {
     sim::EngineOptions lopts;
@@ -200,9 +209,10 @@ TEST_P(SimCorpus, ShardMapsPreserveSerialEquivalence) {
           (adversarial[sw] + static_cast<int>(sw)) % workers;
     }
 
-    sim::EngineOptions ropts = lopts;
-    ropts.shard = sim::ShardMode::kRoundRobin;
-    sim::TrafficEngine round_robin(ev.delta, ropts);
+    sim::EngineOptions mopts = lopts;
+    mopts.shard = sim::ShardMode::kExplicit;
+    mopts.shard_map = modulo_map(topo, workers);
+    sim::TrafficEngine modulo(ev.delta, mopts);
 
     sim::EngineOptions aopts = lopts;
     aopts.shard = sim::ShardMode::kExplicit;
@@ -213,7 +223,7 @@ TEST_P(SimCorpus, ShardMapsPreserveSerialEquivalence) {
       const char* label;
       sim::TrafficEngine* engine;
     } cases[] = {{"locality", &locality},
-                 {"round_robin", &round_robin},
+                 {"modulo", &modulo},
                  {"adversarial", &scattered}};
     for (const Case& mc : cases) {
       auto out = mc.engine->run(wl);
@@ -266,8 +276,9 @@ TEST(Engine, StuckPacketHeavyScenarioForcesCrossWorkerForwarding) {
   sim::EngineOptions opts;
   opts.workers = 2;
   // The locality plan would co-locate both owners and defeat the point of
-  // this test; round-robin keeps them on different workers.
-  opts.shard = sim::ShardMode::kRoundRobin;
+  // this test; an sw % 2 map keeps them on different workers.
+  opts.shard = sim::ShardMode::kExplicit;
+  opts.shard_map = modulo_map(topo, opts.workers);
   sim::TrafficEngine engine(ev.delta, opts);
   auto engine_out = engine.run(wl);
   expect_same_deliveries(serial_out, engine_out);
@@ -434,7 +445,6 @@ TEST(Engine, ConflictCacheStatsSurfaceThroughSimStats) {
   EXPECT_NE(js.find("\"conflict_hits\":"), std::string::npos);
   EXPECT_NE(js.find("\"burst\":"), std::string::npos);
   EXPECT_NE(js.find("\"steady_allocs\":"), std::string::npos);
-  EXPECT_NE(js.find("\"direct_switches\":"), std::string::npos);
 }
 
 // A 16-switch line with 12 always-written variables placed zig-zag across
@@ -493,9 +503,10 @@ TEST(Dataplane, LongWriteChainDoesNotTripTheWalkGuard) {
 
   sim::EngineOptions opts;
   opts.workers = 2;
-  // Round-robin sharding: the locality plan would co-locate the write
-  // chain's owners and the chain would never cross a worker boundary.
-  opts.shard = sim::ShardMode::kRoundRobin;
+  // sw % 2 sharding: the locality plan would co-locate the write chain's
+  // owners and the chain would never cross a worker boundary.
+  opts.shard = sim::ShardMode::kExplicit;
+  opts.shard_map = modulo_map(topo, opts.workers);
   sim::TrafficEngine engine(delta, opts);
   std::vector<Network::Delivery> engine_out;
   ASSERT_NO_THROW(engine_out = engine.run(wl));
@@ -504,65 +515,6 @@ TEST(Dataplane, LongWriteChainDoesNotTripTheWalkGuard) {
   EXPECT_EQ(serial.total_hops(), engine.network().total_hops());
   // The chain really did cross shards (the scenario is the whole point).
   EXPECT_GT(engine.stats().forwards, 0u);
-}
-
-TEST(Engine, XfddDirectPathMatchesDecodedPath) {
-  Topology topo = make_figure2_campus();
-  TrafficMatrix tm = gravity_traffic(topo, 10.0, 1);
-  auto c = corpus(topo)[2];  // heavy-hitter (stateful)
-  Session session(topo, tm);
-  EventResult ev = session.full_compile(c.policy);
-  sim::Workload wl = sim::WorkloadGen(topo, tm, 13).generate(
-      sim::scenario_for_app(c.name), 500);
-  Network serial(ev.delta);
-  auto serial_out = serial.inject_batch(sim::as_injection_batch(wl));
-
-  for (bool direct : {false, true}) {
-    sim::EngineOptions opts;
-    opts.workers = 2;
-    opts.xfdd_direct = direct;
-    sim::TrafficEngine engine(ev.delta, opts);
-    auto out = engine.run(wl);
-    ASSERT_NO_FATAL_FAILURE(expect_same_deliveries(serial_out, out))
-        << "xfdd_direct=" << direct;
-    ASSERT_TRUE(serial.merged_state() == engine.network().merged_state())
-        << "xfdd_direct=" << direct;
-    if (!direct) EXPECT_EQ(engine.stats().direct_switches, 0);
-    // Instruction accounting is identical on either path.
-    for (int sw = 0; sw < topo.num_switches(); ++sw) {
-      EXPECT_EQ(serial.switch_at(sw).instructions_executed(),
-                engine.stats()
-                    .per_switch_instructions[static_cast<std::size_t>(sw)])
-          << "switch " << sw << " xfdd_direct=" << direct;
-    }
-  }
-}
-
-TEST(Engine, StatelessPolicyRunsEverySwitchOnTheDirectPath) {
-  Topology topo = make_figure2_campus();
-  TrafficMatrix tm = gravity_traffic(topo, 10.0, 1);
-  // No state tests anywhere: no switch can ever get stuck, so every
-  // deployed switch qualifies for the direct xFDD walk.
-  PolPtr p = apps::assign_egress(apps::default_subnets(topo.ports()));
-  Session session(topo, tm);
-  EventResult ev = session.full_compile(p);
-  sim::Workload wl = sim::WorkloadGen(topo, tm, 6).generate(
-      *sim::find_scenario("uniform"), 300);
-  Network serial(ev.delta);
-  auto serial_out = serial.inject_batch(sim::as_injection_batch(wl));
-
-  sim::EngineOptions opts;
-  opts.workers = 2;
-  sim::TrafficEngine engine(ev.delta, opts);
-  auto out = engine.run(wl);
-  expect_same_deliveries(serial_out, out);
-  EXPECT_EQ(engine.stats().direct_switches, topo.num_switches());
-  for (int sw = 0; sw < topo.num_switches(); ++sw) {
-    EXPECT_EQ(serial.switch_at(sw).instructions_executed(),
-              engine.stats()
-                  .per_switch_instructions[static_cast<std::size_t>(sw)])
-        << sw;
-  }
 }
 
 TEST(Engine, SparseHighStateVarIdsStayGatedDeterministically) {
@@ -606,17 +558,16 @@ TEST(Engine, SparseHighStateVarIdsStayGatedDeterministically) {
   }
 }
 
-TEST(Engine, LookaheadDispatchesPastBlockedHeadsByteIdentically) {
+TEST(Engine, BlockedHeadsStayByteIdenticalToSerial) {
   Topology topo = make_figure2_campus();
   TrafficMatrix tm = gravity_traffic(topo, 10.0, 2);
-  // Round-robin sharding keeps state owners spread across workers so
-  // unconfined masks really block at the window head (the locality plan
-  // confines every corpus policy and the lookahead never has to fire).
-  // Lookahead must then (a) visibly dispatch later disjoint-mask packets
-  // past the blocked head and (b) still retire in sequence order — the
-  // deliveries, merged state and hop counts stay byte-identical to the
-  // serial reference and to the lookahead=0 strict head-of-line run.
-  std::uint64_t dispatched_ahead = 0;
+  // An sw % 2 map keeps state owners spread across workers, so packets
+  // whose conflict masks span workers are unconfined and a conflicting
+  // head really waits in the gate for its predecessors' completions (the
+  // locality plan confines every corpus policy). Head-of-line admission
+  // must still replay the serial trajectory byte-identically.
+  const int workers = 2;
+  std::uint64_t unconfined = 0;
   for (const auto& c : corpus(topo)) {
     Session session(topo, tm);
     EventResult ev = session.full_compile(c.policy);
@@ -625,30 +576,38 @@ TEST(Engine, LookaheadDispatchesPastBlockedHeadsByteIdentically) {
     Network serial(ev.delta);
     auto serial_out = serial.inject_batch(sim::as_injection_batch(wl));
 
-    for (int lookahead : {0, 256}) {
-      sim::EngineOptions opts;
-      opts.workers = 2;
-      opts.deterministic = true;
-      opts.shard = sim::ShardMode::kRoundRobin;
-      opts.lookahead = lookahead;
-      sim::TrafficEngine engine(ev.delta, opts);
-      auto out = engine.run(wl);
-      ASSERT_NO_FATAL_FAILURE(expect_same_deliveries(serial_out, out))
-          << c.name << " lookahead=" << lookahead;
-      ASSERT_TRUE(serial.merged_state() == engine.network().merged_state())
-          << c.name << " lookahead=" << lookahead;
-      EXPECT_EQ(serial.total_hops(), engine.network().total_hops())
-          << c.name << " lookahead=" << lookahead;
-      if (lookahead == 0) {
-        EXPECT_EQ(engine.stats().lookahead_dispatches, 0u) << c.name;
-      } else {
-        dispatched_ahead += engine.stats().lookahead_dispatches;
+    // Packets whose mask names a variable owned off the ingress worker:
+    // each one can block the window head.
+    const std::vector<int> map = modulo_map(topo, workers);
+    sim::ConflictCache cache(serial.store(), serial.root());
+    for (const auto& sp : wl.packets) {
+      const int iw = map[static_cast<std::size_t>(
+          topo.port_switch(sp.inport))];
+      for (StateVarId v : cache.mask(cache.mask_index(sp.pkt, sp.flow))) {
+        const int owner = ev.delta.placement.at(v);
+        if (owner >= 0 && map[static_cast<std::size_t>(owner)] != iw) {
+          ++unconfined;
+          break;
+        }
       }
     }
+
+    sim::EngineOptions opts;
+    opts.workers = workers;
+    opts.deterministic = true;
+    opts.shard = sim::ShardMode::kExplicit;
+    opts.shard_map = map;
+    sim::TrafficEngine engine(ev.delta, opts);
+    auto out = engine.run(wl);
+    ASSERT_NO_FATAL_FAILURE(expect_same_deliveries(serial_out, out))
+        << c.name;
+    ASSERT_TRUE(serial.merged_state() == engine.network().merged_state())
+        << c.name;
+    EXPECT_EQ(serial.total_hops(), engine.network().total_hops()) << c.name;
   }
-  EXPECT_GT(dispatched_ahead, 0u)
-      << "no corpus policy ever dispatched past a blocked head — the "
-         "lookahead path is dead";
+  EXPECT_GT(unconfined, 0u)
+      << "no corpus packet spans workers under the sw % 2 map — the "
+         "blocked-head path is never exercised";
 }
 
 TEST(Engine, FreeRunningRtcSingleWorkerMatchesSerial) {
@@ -669,7 +628,6 @@ TEST(Engine, FreeRunningRtcSingleWorkerMatchesSerial) {
   sim::EngineOptions opts;
   opts.workers = 1;
   opts.deterministic = false;
-  opts.rtc = true;
   sim::TrafficEngine engine(ev.delta, opts);
   auto out = engine.run(wl);
   ASSERT_NO_FATAL_FAILURE(expect_same_deliveries(serial_out, out));

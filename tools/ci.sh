@@ -77,9 +77,10 @@ echo "== data-plane throughput (sharded engine vs serial, equivalence gate) =="
 #
 # Perf floor: read the committed file's pps BEFORE the bench overwrites
 # it; a fresh run on the same core count must reach >= 80% of it (median
-# of 3) for the serial, deterministic, and free_running modes, so a
-# datapath regression in any execution mode fails the gate instead of
-# silently rewriting the trajectory. Skipped per key when the committed
+# of 3) for the serial, deterministic (head-of-line admission), confined
+# single-worker, and free_running (the run-to-completion burst loop)
+# modes, so a datapath regression in any execution mode fails the gate
+# instead of silently rewriting the trajectory. Skipped per key when the committed
 # file predates it, and entirely when the core count differs
 # (cross-machine numbers are not comparable).
 COMMITTED_JSON="$(git show HEAD:BENCH_throughput.json 2>/dev/null || true)"
